@@ -308,7 +308,7 @@ func BenchmarkMeasure(b *testing.B) {
 	spec := machine.Origin2000()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := balance.MeasureCtx(context.Background(), p, spec, exec.Limits{}); err != nil {
+		if _, err := balance.Measure(context.Background(), p, balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,11 +9,12 @@
 //	      [-passes spec[,spec...]] [-profile] [-mrc] [-json] \
 //	      [-trace out.json] program.bw
 //
-// With -mrc, both measurements additionally run a one-pass
-// reuse-distance (Mattson stack-distance) analysis: an ASCII
-// before/after overlay of the memory-channel demand curve, the
-// capacity-knee table against every registered machine (showing how
-// far the optimizer shifted the knee left), and the phase timeline.
+// With -mrc, both measurements additionally record a one-pass
+// reuse-distance (Mattson stack-distance) analysis on the same
+// execution: an ASCII before/after overlay of the memory-channel
+// demand curve, the capacity-knee table against every registered
+// machine (showing how far the optimizer shifted the knee left), and
+// the phase timeline.
 // Under -json the same data appears as "mrc" blocks on both
 // measurements.
 //
@@ -71,7 +72,6 @@ import (
 	"repro/internal/balance"
 	"repro/internal/bounds"
 	"repro/internal/exec"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/report"
@@ -202,33 +202,15 @@ func main() {
 		fatal(err)
 	}
 
-	measureFn := balance.MeasureWithBounds
-	if *profile {
-		measureFn = balance.MeasureProfiled
-	}
-	if *mrcFlag {
-		// The reuse-distance pass is a separate simulation so -profile
-		// and -bounds reporting stay orthogonal to it; its result is
-		// grafted onto the main measurement's report.
-		base := measureFn
-		measureFn = func(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*balance.Report, error) {
-			rep, err := base(ctx, p, spec, lim)
-			if err != nil {
-				return nil, err
-			}
-			m, err := balance.MeasureMRC(ctx, p, spec, lim)
-			if err != nil {
-				return nil, err
-			}
-			rep.MRC = m.MRC
-			return rep, nil
-		}
-	}
-	before, err := measureFn(ctx, p, spec, exec.Limits{})
+	// One execution per program feeds the measurement, its lower bound
+	// and whichever observers the flags ask for.
+	plan := balance.Plan{Machines: []machine.Spec{spec}, Bounds: balance.BoundsFull,
+		Profile: *profile, MRC: *mrcFlag}
+	before, err := balance.Primary(balance.Measure(ctx, p, plan, exec.Limits{}))
 	if err != nil {
 		fatal(err)
 	}
-	after, err := measureFn(ctx, q, spec, exec.Limits{})
+	after, err := balance.Primary(balance.Measure(ctx, q, plan, exec.Limits{}))
 	if err != nil {
 		fatal(err)
 	}
@@ -238,7 +220,7 @@ func main() {
 		for i, s := range outcome.Snapshots {
 			snaps[i] = balance.ProgramSnapshot{Pass: s.Pass, Program: s.Program}
 		}
-		if deltas, err = balance.PassDeltas(ctx, p, snaps, spec, exec.Limits{}); err != nil {
+		if deltas, err = balance.PassDeltas(ctx, before, snaps, spec, exec.Limits{}); err != nil {
 			fatal(err)
 		}
 	}

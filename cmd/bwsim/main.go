@@ -141,23 +141,14 @@ func main() {
 	if *printIR {
 		fmt.Println(p)
 	}
-	// MeasureWithBounds attaches the data-movement lower bound and
-	// optimality gap, which Report.String prints as its last line;
-	// MeasureProfiled additionally attributes the traffic per site.
-	measureFn := balance.MeasureWithBounds
-	if *profile {
-		measureFn = balance.MeasureProfiled
-	}
-	rep, err := measureFn(ctx, p, spec, exec.Limits{})
+	// One execution feeds the measurement, the data-movement lower
+	// bound (Report.String prints its optimality gap last) and
+	// whichever observers the flags ask for.
+	plan := balance.Plan{Machines: []machine.Spec{spec}, Bounds: balance.BoundsFull,
+		Profile: *profile, MRC: *mrcFlag}
+	rep, err := balance.Primary(balance.Measure(ctx, p, plan, exec.Limits{}))
 	if err != nil {
 		fatal(err)
-	}
-	if *mrcFlag {
-		m, err := balance.MeasureMRC(ctx, p, spec, exec.Limits{})
-		if err != nil {
-			fatal(err)
-		}
-		rep.MRC = m.MRC
 	}
 	if tr != nil {
 		root.End()

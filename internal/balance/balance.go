@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/exec"
@@ -62,83 +63,95 @@ type Report struct {
 	// Bound, when non-nil, is the data-movement lower bound at this
 	// machine's fast-memory capacity and OptimalityGap the ratio
 	// MemoryBytes/Bound.Best.Bytes (0 when no bound information).
-	// Populated by MeasureWithBounds; plain Measure leaves it nil so
-	// timed measurement loops pay nothing for it.
+	// Populated when the plan asks for bounds; BoundErr says why Bound
+	// is nil when it asked and the analysis could not run (the
+	// footprint census refused the program's size). The measurement
+	// itself is still valid then: callers decide whether a missing
+	// bound is an error.
 	Bound         *bounds.Analysis
 	OptimalityGap float64
+	BoundErr      error
 
 	// Attribution, when non-nil, breaks the traffic down by reference
-	// site, loop nest and array. Populated by MeasureProfiled; plain
-	// Measure leaves it nil and pays nothing for it.
+	// site, loop nest and array. Populated on the primary report of a
+	// Plan with Profile set.
 	Attribution *Attribution
 
 	// MRC, when non-nil, carries the one-pass reuse-distance analysis:
 	// exact miss-ratio curves per level, per-array curves, the phase
 	// timeline, and capacity knees against every registered machine.
-	// Populated by MeasureMRC; plain Measure leaves it nil.
+	// Populated on the primary report of a Plan with MRC set.
 	MRC *MRCResult
 
+	// Belady, when non-nil, contrasts LRU with Belady's optimal
+	// replacement on the primary machine's last-level access trace.
+	// Populated on the primary report of a Plan with Belady set.
+	Belady *Belady
+
 	// Result carries the program's computed values for equivalence
-	// checking.
+	// checking. Every report of one Measure call shares it.
 	Result *exec.Result
 }
 
-// Gap returns the optimality gap, or 0 when no bound was attached.
-func (r *Report) Gap() float64 { return r.OptimalityGap }
+// BoundsMode selects how much of the data-movement lower bound a
+// measurement computes.
+type BoundsMode int
 
-// Measure runs the program on the machine model and computes its
-// balance report.
-func Measure(p *ir.Program, spec machine.Spec) (*Report, error) {
-	return MeasureCtx(context.Background(), p, spec, exec.Limits{})
+const (
+	// BoundsNone computes no bound.
+	BoundsNone BoundsMode = iota
+	// BoundsNoPebble computes the compulsory floor only.
+	BoundsNoPebble
+	// BoundsFull computes the compulsory floor and the pebbling bound.
+	BoundsFull
+)
+
+// Plan is everything one measurement observes. Measure runs the
+// program once and feeds every observer the plan names from that one
+// access stream.
+type Plan struct {
+	// Machines are the machine models to measure on, primary first.
+	// Every machine gets its own simulated hierarchy and report.
+	Machines []machine.Spec
+	// Bounds attaches the lower bound to every report, each at its
+	// machine's fast-memory capacity (one footprint census and one
+	// pebbling pass serve them all).
+	Bounds BoundsMode
+	// Profile attaches per-site traffic attribution, MRC the
+	// reuse-distance curves and Belady the LRU-versus-optimal replay,
+	// each to the primary report only.
+	Profile bool
+	MRC     bool
+	Belady  bool
 }
 
-// MeasureCtx is Measure with cancellation and a step budget threaded
-// into the simulated run: the measurement aborts with an error wrapping
-// exec.ErrCanceled when ctx is done, or exec.ErrStepBudget when the
-// program exceeds lim.MaxSteps loop iterations. Services use it to keep
-// a hostile or huge program from wedging a worker.
-func MeasureCtx(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
-	return measure(ctx, p, spec, lim, false, false)
-}
-
-// measure is the shared measurement core. With profile set it runs on a
-// clone with attribution sites assigned and a profiling hierarchy, and
-// attaches the per-site/per-array Attribution to the report; with mrc
-// set it attaches a one-pass reuse-distance recorder and builds the
-// miss-ratio curves and phase timeline. Without either, the run is
-// byte-for-byte the pre-profiler path (no clone, no site table,
-// recording off), so timed measurement loops pay nothing.
-func measure(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits, profile, mrc bool) (*Report, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// Measure runs the program once and returns one balance report per
+// plan machine, primary first, each carrying the observers the plan
+// asks for. The run is canceled with ctx (errors wrap
+// exec.ErrCanceled) and bounded by lim.MaxSteps loop iterations
+// (exec.ErrStepBudget); a zero budget means bounds.DefaultMaxSteps, so
+// no measurement can wedge its caller.
+//
+// A plan with one consumer (one machine, no bounds, no Belady) runs
+// directly on that machine's hierarchy; otherwise a tee fans the
+// access stream out to every consumer. Observers never change the
+// counters: every report equals what a single-observer plan on its
+// machine would give.
+func Measure(ctx context.Context, p *ir.Program, plan Plan, lim exec.Limits) ([]*Report, error) {
+	if len(plan.Machines) == 0 {
+		return nil, fmt.Errorf("balance: measurement of %s names no machine", p.Name)
 	}
-	ctx, span := trace.StartSpan(ctx, "balance.measure",
-		trace.String("program", p.Name), trace.String("machine", spec.Name))
-	var table *ir.SiteTable
-	if profile || mrc {
-		// Sites are assigned on a clone so concurrent measurements of a
-		// shared program never observe mutation.
-		p = p.Clone()
-		table = ir.AssignSites(p)
-	}
-	h := spec.NewHierarchy()
-	if profile {
-		h.EnableProfiling()
-	}
-	if mrc {
-		if err := h.EnableMRC(); err != nil {
-			span.End(trace.String("error", err.Error()))
+	for _, spec := range plan.Machines {
+		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	// The closure-compiled engine is several times faster than the tree
-	// walker and differentially tested against it (internal/exec).
-	cp, err := exec.Compile(p)
-	if err != nil {
-		span.End(trace.String("error", err.Error()))
-		return nil, err
+	if lim.MaxSteps == 0 {
+		lim.MaxSteps = bounds.DefaultMaxSteps
 	}
-	res, err := cp.RunCtx(ctx, h, lim)
+	ctx, span := trace.StartSpan(ctx, "balance.measure",
+		trace.String("program", p.Name), trace.String("machine", plan.Machines[0].Name))
+	reps, err := plan.run(ctx, p, lim)
 	if err != nil {
 		span.End(trace.String("error", err.Error()))
 		return nil, err
@@ -146,26 +159,126 @@ func measure(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Lim
 	// Attribute the simulated cost per hierarchy level: the misses at
 	// each level are exactly the traffic the balance model charges to
 	// the channel below it.
+	r := reps[0]
 	if span != nil {
-		attrs := []trace.Attr{trace.Int("flops", h.Flops)}
-		for i := 0; i < h.Levels(); i++ {
-			st := h.LevelStats(i)
-			name := h.LevelConfig(i).Name
+		attrs := []trace.Attr{trace.Int("flops", r.Flops), trace.Int("machines", int64(len(reps)))}
+		for i, name := range r.LevelNames {
 			attrs = append(attrs,
-				trace.Int("misses."+name, st.Misses()),
-				trace.Int("writebacks."+name, st.Writebacks))
+				trace.Int("misses."+name, r.LevelStats[i].Misses()),
+				trace.Int("writebacks."+name, r.LevelStats[i].Writebacks))
 		}
 		span.SetAttrs(attrs...)
 	}
+	span.End(trace.String("bottleneck", r.Bottleneck), trace.Int("memory_bytes", r.MemoryBytes))
+	return reps, nil
+}
+
+// run is Measure's body: set up every consumer, execute once, and
+// read each consumer's result off its own state.
+func (plan Plan) run(ctx context.Context, p *ir.Program, lim exec.Limits) ([]*Report, error) {
+	start := time.Now()
+	var table *ir.SiteTable
+	if plan.Profile || plan.MRC {
+		// Sites are assigned on a clone so concurrent measurements of a
+		// shared program never observe mutation.
+		p = p.Clone()
+		table = ir.AssignSites(p)
+	}
+	var sinks tee
+	hs := make([]*sim.Hierarchy, len(plan.Machines))
+	for i, spec := range plan.Machines {
+		hs[i] = spec.NewHierarchy()
+		sinks = append(sinks, hs[i])
+	}
+	if plan.Profile {
+		hs[0].EnableProfiling()
+	}
+	if plan.MRC {
+		if err := hs[0].EnableMRC(); err != nil {
+			return nil, err
+		}
+	}
+	var fp *bounds.FootprintRecorder
+	var boundErr error
+	if plan.Bounds != BoundsNone {
+		if fp, boundErr = bounds.NewFootprintRecorder(p); boundErr == nil {
+			sinks = append(sinks, fp)
+		}
+	}
+	var rec *sim.Recorder
+	if plan.Belady {
+		var err error
+		if rec, err = sim.NewRecorder(beladyLevel(plan.Machines[0])); err != nil {
+			return nil, err
+		}
+		sinks = append(sinks, rec)
+	}
+	// The closure-compiled engine is several times faster than the tree
+	// walker and differentially tested against it (internal/exec).
+	cp, err := exec.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	var m exec.Machine = sinks
+	if len(sinks) == 1 {
+		m = sinks[0]
+	}
+	res, err := cp.RunCtx(ctx, m, lim)
+	if err != nil {
+		return nil, err
+	}
+
+	reps := make([]*Report, len(hs))
+	for i, h := range hs {
+		if reps[i], err = newReport(p.Name, plan.Machines[i], h, res); err != nil {
+			return nil, err
+		}
+	}
+	primary := reps[0]
+	if plan.Profile {
+		primary.Attribution = buildAttribution(p, table, hs[0])
+	}
+	if fp != nil {
+		census := fp.Footprint()
+		var pb *bounds.Pebble
+		if plan.Bounds == BoundsFull {
+			pb = bounds.ComputePebble(p)
+		}
+		for i, r := range reps {
+			r.Bound = bounds.Assemble(p.Name, bounds.FastCapacity(plan.Machines[i]), census, pb)
+			r.OptimalityGap = bounds.Gap(r.MemoryBytes, r.Bound.Best)
+		}
+		if primary.Attribution != nil {
+			primary.Attribution.attachBounds(census)
+		}
+	} else if boundErr != nil {
+		for _, r := range reps {
+			r.BoundErr = boundErr
+		}
+	}
+	if rec != nil {
+		if primary.Belady, err = replayBelady(ctx, rec, plan.Machines[0]); err != nil {
+			return nil, err
+		}
+	}
+	if plan.MRC {
+		primary.MRC = buildMRC(plan.Machines[0], table, hs[0])
+		primary.MRC.MeasureNS = time.Since(start).Nanoseconds()
+	}
+	return reps, nil
+}
+
+// newReport computes the balance report of one machine's hierarchy
+// after a run.
+func newReport(prog string, spec machine.Spec, h *sim.Hierarchy, res *exec.Result) (*Report, error) {
 	channels := h.ChannelBytes()
 	memLines := h.LevelStats(h.Levels() - 1).Misses()
 	t, err := spec.Predict(channels, h.Flops, memLines)
 	if err != nil {
 		return nil, err
 	}
-
 	r := &Report{
-		Program:        p.Name,
+		Program:        prog,
 		Machine:        spec.Name,
 		ChannelNames:   spec.ChannelNames(),
 		ChannelBytes:   channels,
@@ -197,33 +310,93 @@ func measure(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Lim
 	if r.MaxRatio > 1 {
 		r.CPUUtilizationBound = 1 / r.MaxRatio
 	}
-	if profile {
-		r.Attribution = buildAttribution(p, table, h)
-	}
-	if mrc {
-		r.MRC = buildMRC(spec, table, h)
-	}
-	span.End(trace.String("bottleneck", r.Bottleneck), trace.Int("memory_bytes", r.MemoryBytes))
 	return r, nil
 }
 
-// MeasureWithBounds is MeasureCtx followed by the data-movement
-// lower-bound analysis (internal/bounds) at the machine's fast-memory
-// capacity, attaching Bound and OptimalityGap to the report. It is a
-// separate entry point — not a MeasureCtx flag — so the perfwatch
-// benchmark records, which time MeasureCtx wall-clock, are unaffected.
-func MeasureWithBounds(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
-	rep, err := MeasureCtx(ctx, p, spec, lim)
+// tee fans one access stream out to several machines, so every
+// consumer of a plan reads the same single execution.
+type tee []exec.SiteMachine
+
+func (t tee) Load(addr int64, size int)  { t.LoadSite(addr, size, 0) }
+func (t tee) Store(addr int64, size int) { t.StoreSite(addr, size, 0) }
+
+func (t tee) LoadSite(addr int64, size int, site uint32) {
+	for _, m := range t {
+		m.LoadSite(addr, size, site)
+	}
+}
+
+func (t tee) StoreSite(addr int64, size int, site uint32) {
+	for _, m := range t {
+		m.StoreSite(addr, size, site)
+	}
+}
+
+func (t tee) AddFlops(n int64) {
+	for _, m := range t {
+		m.AddFlops(n)
+	}
+}
+
+func (t tee) Flush() {
+	for _, m := range t {
+		m.Flush()
+	}
+}
+
+// Belady contrasts LRU with Belady's optimal replacement on the
+// identical last-level access trace (Section 4.1's comparison): how
+// much of the traffic a perfect-future-knowledge policy could save.
+type Belady struct {
+	Level    string
+	Accesses int
+	LRU      sim.Stats
+	OPT      sim.Stats
+}
+
+// beladyLevel is the cache the Belady trace is recorded for: the
+// machine's last level, forced to write-back, write-allocate, which
+// the replay requires.
+func beladyLevel(spec machine.Spec) sim.CacheConfig {
+	cfg := spec.Caches[len(spec.Caches)-1]
+	cfg.Policy = sim.WriteBack
+	cfg.NoWriteAllocate = false
+	return cfg
+}
+
+// replayBelady replays the trace recorded for spec's beladyLevel under
+// LRU and under Belady's optimal policy.
+func replayBelady(ctx context.Context, rec *sim.Recorder, spec machine.Spec) (*Belady, error) {
+	t := rec.Trace()
+	lru, err := sim.ReplayLRUCtx(ctx, t)
 	if err != nil {
 		return nil, err
 	}
-	b, err := bounds.Analyze(ctx, p, bounds.FastCapacity(spec), lim)
+	opt, err := sim.ReplayBeladyCtx(ctx, t)
 	if err != nil {
-		return nil, fmt.Errorf("balance: lower bound for %s: %w", p.Name, err)
+		return nil, err
 	}
-	rep.Bound = b
-	rep.OptimalityGap = bounds.Gap(rep.MemoryBytes, b.Best)
-	return rep, nil
+	return &Belady{Level: beladyLevel(spec).Name, Accesses: t.Len(), LRU: lru, OPT: opt}, nil
+}
+
+// Primary unwraps a Measure call for callers that want its primary
+// report only and treat a planned lower bound as part of the answer: a
+// bound that could not be computed becomes an error.
+func Primary(reps []*Report, err error) (*Report, error) {
+	if err != nil {
+		return nil, err
+	}
+	r := reps[0]
+	if r.BoundErr != nil {
+		return nil, fmt.Errorf("balance: lower bound for %s: %w", r.Program, r.BoundErr)
+	}
+	return r, nil
+}
+
+// MeasureWithBounds measures p on spec with the full lower bound
+// attached; a bound that cannot be computed is an error.
+func MeasureWithBounds(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
+	return Primary(Measure(ctx, p, Plan{Machines: []machine.Spec{spec}, Bounds: BoundsFull}, lim))
 }
 
 // Speedup returns how much faster the "after" run is predicted to be.

@@ -1,10 +1,12 @@
 package balance
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/lang"
 	"repro/internal/machine"
 )
@@ -22,10 +24,11 @@ loop L1 {
 
 func TestMeasureStreamKernel(t *testing.T) {
 	p := lang.MustParse(streamy)
-	r, err := Measure(p, machine.Origin2000())
+	rs, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	// Triad-like kernel: 2 flops, 3 arrays streamed; memory balance is
 	// (2 reads + 1 write-allocate fetch + 1 writeback) * 8B / 2 flops
 	// = 16 B/flop.
@@ -63,10 +66,11 @@ loop L1 {
   }
 }
 `)
-	r, err := Measure(p, machine.Origin2000())
+	rs, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.Bottleneck != "L1-Reg" && r.Bottleneck != "CPU" {
 		t.Fatalf("bottleneck = %s (ratios %v)", r.Bottleneck, r.Ratios)
 	}
@@ -93,14 +97,16 @@ scalar sum
 loop L1 { for i = 0, N-1 { sum = sum + a[i] } }
 `)
 	for _, spec := range []machine.Spec{machine.Origin2000(), machine.Exemplar()} {
-		rw, err := Measure(writeLoop, spec)
+		rws, err := Measure(context.Background(), writeLoop, Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := Measure(readLoop, spec)
+		rw := rws[0]
+		rrs, err := Measure(context.Background(), readLoop, Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rr := rrs[0]
 		ratio := rw.Time.Total / rr.Time.Total
 		if math.Abs(ratio-2) > 0.1 {
 			t.Fatalf("%s: write/read time ratio = %.2f, want ~2", spec.Name, ratio)
@@ -121,10 +127,11 @@ func TestSpeedup(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	p := lang.MustParse(streamy)
-	r, err := Measure(p, machine.Origin2000())
+	rs, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	s := r.String()
 	for _, want := range []string{"streamy", "Origin2000", "Mem-L2", "bottleneck", "MB/s"} {
 		if !strings.Contains(s, want) {
@@ -137,7 +144,7 @@ func TestMeasureValidatesSpec(t *testing.T) {
 	p := lang.MustParse(streamy)
 	bad := machine.Origin2000()
 	bad.FlopRate = 0
-	if _, err := Measure(p, bad); err == nil {
+	if _, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{bad}}, exec.Limits{}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 }
@@ -152,10 +159,11 @@ array a[N]
 array b[N]
 loop L1 { for i = 0, N-1 { a[i] = b[i] } }
 `)
-	r, err := Measure(p, machine.Origin2000())
+	rs, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.Flops != 0 {
 		t.Fatalf("flops = %d", r.Flops)
 	}

@@ -1,4 +1,4 @@
-// Miss-ratio-curve measurement: balance.MeasureMRC runs one
+// Miss-ratio-curve measurement: a Plan with MRC set runs one
 // reuse-distance-instrumented simulation (internal/sim MRCRecorder)
 // and reports exact miss/traffic curves per cache level, per-array
 // curves, a phase timeline, and the capacity knee — the smallest fast
@@ -9,9 +9,7 @@ package balance
 import (
 	"context"
 	"sort"
-	"time"
 
-	"repro/internal/bounds"
 	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -116,22 +114,11 @@ type MRCResult struct {
 // mrcTimelineEpochs is the wire aggregation of the phase timeline.
 const mrcTimelineEpochs = 32
 
-// MeasureMRC is MeasureCtx with one-pass reuse-distance recording: the
-// report additionally carries MRC (curves, timeline, knees). The run
-// is context-cancelable, and a zero lim.MaxSteps is defaulted to
-// bounds.DefaultMaxSteps so a pathological kernel cannot wedge a
-// service worker even when the caller forgot a budget.
+// MeasureMRC measures p on spec with one-pass reuse-distance
+// recording: the report additionally carries MRC (curves, timeline,
+// knees).
 func MeasureMRC(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
-	if lim.MaxSteps == 0 {
-		lim.MaxSteps = bounds.DefaultMaxSteps
-	}
-	start := time.Now()
-	rep, err := measure(ctx, p, spec, lim, false, true)
-	if err != nil {
-		return nil, err
-	}
-	rep.MRC.MeasureNS = time.Since(start).Nanoseconds()
-	return rep, nil
+	return Primary(Measure(ctx, p, Plan{Machines: []machine.Spec{spec}, MRC: true}, lim))
 }
 
 // buildMRC converts the recorder's histograms into the wire result.

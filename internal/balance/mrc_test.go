@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -60,10 +61,11 @@ func TestMRCOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					plain, err := MeasureCtx(context.Background(), v.p, e.Spec, exec.Limits{})
+					plains, err := Measure(context.Background(), v.p, Plan{Machines: []machine.Spec{e.Spec}}, exec.Limits{})
 					if err != nil {
 						t.Fatal(err)
 					}
+					plain := plains[0]
 					if rep.MRC == nil {
 						t.Fatal("MeasureMRC attached no MRC result")
 					}
@@ -114,9 +116,83 @@ func TestMRCOracle(t *testing.T) {
 					if flops != rep.Flops {
 						t.Fatalf("timeline flops %d != report %d", flops, rep.Flops)
 					}
+					checkCombinedPlan(t, v.p, e.Spec)
 				})
 			}
 		}
+	}
+}
+
+// checkCombinedPlan holds the run-once contract: a full plan — every
+// registered machine with primary first, full bounds, profile, MRC and
+// Belady, all fed by one execution — reports exactly what the
+// single-observer plans report, field by field.
+func checkCombinedPlan(t *testing.T, p *ir.Program, primary machine.Spec) {
+	t.Helper()
+	ctx := context.Background()
+	machines := []machine.Spec{primary}
+	for _, e := range machine.Entries() {
+		if e.Spec.Name != primary.Name {
+			machines = append(machines, e.Spec)
+		}
+	}
+	full, err := Measure(ctx, p, Plan{Machines: machines, Bounds: BoundsFull, Profile: true, MRC: true, Belady: true}, exec.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != len(machines) {
+		t.Fatalf("full plan: %d reports for %d machines", len(full), len(machines))
+	}
+	one := func(plan Plan) *Report {
+		t.Helper()
+		r, err := Primary(Measure(ctx, p, plan, exec.Limits{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for i, spec := range machines {
+		got := full[i]
+		plain := one(Plan{Machines: []machine.Spec{spec}})
+		if got.Machine != spec.Name || !reflect.DeepEqual(got.LevelStats, plain.LevelStats) ||
+			!reflect.DeepEqual(got.ChannelBytes, plain.ChannelBytes) || got.Flops != plain.Flops {
+			t.Fatalf("%s: combined counters %v %v %d != alone %v %v %d", spec.Name,
+				got.LevelStats, got.ChannelBytes, got.Flops, plain.LevelStats, plain.ChannelBytes, plain.Flops)
+		}
+		if !reflect.DeepEqual(got.Result.Prints, plain.Result.Prints) {
+			t.Fatalf("%s: combined prints %v != alone %v", spec.Name, got.Result.Prints, plain.Result.Prints)
+		}
+		bounded := one(Plan{Machines: []machine.Spec{spec}, Bounds: BoundsFull})
+		if !reflect.DeepEqual(got.Bound, bounded.Bound) || got.OptimalityGap != bounded.OptimalityGap {
+			t.Fatalf("%s: combined bound %+v gap %v != alone %+v gap %v", spec.Name,
+				got.Bound, got.OptimalityGap, bounded.Bound, bounded.OptimalityGap)
+		}
+		if i > 0 && (got.Attribution != nil || got.MRC != nil || got.Belady != nil) {
+			t.Fatalf("%s: primary-only observers attached to a secondary machine", spec.Name)
+		}
+	}
+	r := full[0]
+	prof := one(Plan{Machines: machines[:1], Profile: true})
+	if !reflect.DeepEqual(r.Attribution.Sites, prof.Attribution.Sites) ||
+		!reflect.DeepEqual(r.Attribution.Nests, prof.Attribution.Nests) {
+		t.Fatal("combined per-site attribution differs from the profile-only plan's")
+	}
+	arrays := append([]ArrayTraffic(nil), r.Attribution.Arrays...)
+	for i := range arrays {
+		arrays[i].BoundBytes, arrays[i].Gap = 0, 0 // only the combined plan has floors
+	}
+	if !reflect.DeepEqual(arrays, prof.Attribution.Arrays) {
+		t.Fatalf("combined per-array attribution %+v != alone %+v", arrays, prof.Attribution.Arrays)
+	}
+	alone := one(Plan{Machines: machines[:1], MRC: true})
+	gm, am := *r.MRC, *alone.MRC
+	gm.MeasureNS, am.MeasureNS = 0, 0
+	if !reflect.DeepEqual(gm, am) {
+		t.Fatal("combined MRC result (points, knees, timeline) differs from the MRC-only plan's")
+	}
+	bel := one(Plan{Machines: machines[:1], Belady: true})
+	if r.Belady == nil || !reflect.DeepEqual(r.Belady, bel.Belady) {
+		t.Fatalf("combined Belady %+v != alone %+v", r.Belady, bel.Belady)
 	}
 }
 
@@ -126,10 +202,11 @@ func TestMRCOracle(t *testing.T) {
 // caller's program is never mutated.
 func TestMRCOffPathInert(t *testing.T) {
 	p := kernels.Dmxpy(24)
-	r, err := MeasureCtx(context.Background(), p, machine.Origin2000(), exec.Limits{})
+	rs, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.MRC != nil {
 		t.Fatal("MeasureCtx attached an MRC result without being asked")
 	}
@@ -196,7 +273,7 @@ func TestMRCOnOverheadGuard(t *testing.T) {
 		return samples[len(samples)/2]
 	}
 	plain := median(func() error {
-		_, err := MeasureCtx(context.Background(), p, spec, exec.Limits{})
+		_, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 		return err
 	})
 	mrc := median(func() error {
@@ -219,7 +296,7 @@ func BenchmarkMeasure(b *testing.B) {
 	spec := machine.Origin2000()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MeasureCtx(context.Background(), p, spec, exec.Limits{}); err != nil {
+		if _, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{spec}}, exec.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}

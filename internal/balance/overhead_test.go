@@ -22,10 +22,11 @@ import (
 // single binary can compare against itself.
 func TestProfilingOffPathInert(t *testing.T) {
 	p := kernels.Dmxpy(24)
-	r, err := MeasureCtx(context.Background(), p, machine.Origin2000(), exec.Limits{})
+	rs, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.Attribution != nil {
 		t.Fatal("MeasureCtx produced an attribution without profiling")
 	}
@@ -75,7 +76,7 @@ func TestProfilingOnOverheadGuard(t *testing.T) {
 		return samples[len(samples)/2]
 	}
 	plain := median(func() error {
-		_, err := MeasureCtx(context.Background(), p, spec, exec.Limits{})
+		_, err := Measure(context.Background(), p, Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 		return err
 	})
 	profiled := median(func() error {

@@ -150,7 +150,7 @@ func AnalyzeOpts(ctx context.Context, p *ir.Program, fastBytes int64, opts Opts)
 	if !opts.NoPebble {
 		pb = ComputePebble(p)
 	}
-	return assemble(p.Name, fastBytes, fp, pb, opts.NoPebble), nil
+	return Assemble(p.Name, fastBytes, fp, pb), nil
 }
 
 // FromManager computes the analysis from memoized per-program-version
@@ -178,17 +178,19 @@ func FromManager(m *analysis.Manager, fastBytes int64, withPebble bool) (*Analys
 			return nil, fmt.Errorf("bounds: analysis %q returned %T", PebbleName, v)
 		}
 	}
-	return assemble(m.Program().Name, fastBytes, fp, pb, !withPebble), nil
+	return Assemble(m.Program().Name, fastBytes, fp, pb), nil
 }
 
-// assemble combines the footprint and pebbling results into an
-// Analysis at the given capacity.
-func assemble(prog string, fastBytes int64, fp *Footprint, pb *Pebble, skipped bool) *Analysis {
+// Assemble combines the footprint and pebbling results into an
+// Analysis at the given capacity. A nil pb marks the pebbling bound as
+// deliberately skipped. Both inputs are capacity-independent, so one
+// footprint run and one pebbling pass serve every machine.
+func Assemble(prog string, fastBytes int64, fp *Footprint, pb *Pebble) *Analysis {
 	a := &Analysis{
 		Program:         prog,
 		FastBytes:       fastBytes,
 		Compulsory:      fp.Bound(),
-		PebblingSkipped: skipped,
+		PebblingSkipped: pb == nil,
 		Footprint:       fp,
 	}
 	a.Best = a.Compulsory

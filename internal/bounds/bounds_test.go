@@ -213,10 +213,11 @@ func TestBoundSoundVsMeasured(t *testing.T) {
 	}
 	for name, p := range progs {
 		for _, spec := range specs {
-			rep, err := balance.Measure(p, spec)
+			reps, err := balance.Measure(context.Background(), p, balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 			if err != nil {
 				t.Fatalf("%s on %s: measure: %v", name, spec.Name, err)
 			}
+			rep := reps[0]
 			a, err := bounds.Analyze(context.Background(), p, bounds.FastCapacity(spec), exec.Limits{})
 			if err != nil {
 				t.Fatalf("%s on %s: bounds: %v", name, spec.Name, err)

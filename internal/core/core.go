@@ -18,6 +18,7 @@ import (
 	"context"
 
 	"repro/internal/balance"
+	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/transform"
@@ -29,7 +30,7 @@ import (
 // demand/supply ratios, CPU-utilization bound, predicted time and
 // effective memory bandwidth.
 func Analyze(p *ir.Program, spec machine.Spec) (*balance.Report, error) {
-	return balance.Measure(p, spec)
+	return balance.Primary(balance.Measure(context.Background(), p, balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{}))
 }
 
 // Optimize applies the paper's full bandwidth-reduction strategy —

@@ -8,6 +8,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
+	"repro/internal/machine"
 	"repro/internal/report"
 )
 
@@ -36,8 +37,9 @@ func OptimalityGap(cfg Config) (*report.Table, error) {
 		{"fig7", kernels.Fig7Original(cfg.Fig8N)},
 	}
 	for _, spec := range cfg.machines() {
+		plan := balance.Plan{Machines: []machine.Spec{spec}, Bounds: balance.BoundsFull}
 		for _, k := range rows {
-			before, err := balance.MeasureWithBounds(context.Background(), k.p, spec, exec.Limits{})
+			before, err := balance.Primary(balance.Measure(context.Background(), k.p, plan, exec.Limits{}))
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", k.name, spec.Name, err)
 			}
@@ -45,7 +47,7 @@ func OptimalityGap(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("optimize %s: %w", k.name, err)
 			}
-			after, err := balance.MeasureWithBounds(context.Background(), opt, spec, exec.Limits{})
+			after, err := balance.Primary(balance.Measure(context.Background(), opt, plan, exec.Limits{}))
 			if err != nil {
 				return nil, fmt.Errorf("%s (optimized) on %s: %w", k.name, spec.Name, err)
 			}

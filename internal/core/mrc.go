@@ -8,6 +8,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
+	"repro/internal/machine"
 	"repro/internal/report"
 )
 
@@ -35,8 +36,9 @@ func MRCStudy(cfg Config) (*report.Table, error) {
 		{"fig7", kernels.Fig7Original(cfg.Fig8N)},
 	}
 	for _, spec := range cfg.machines() {
+		plan := balance.Plan{Machines: []machine.Spec{spec}, MRC: true}
 		for _, k := range rows {
-			before, err := balance.MeasureMRC(context.Background(), k.p, spec, exec.Limits{})
+			before, err := balance.Primary(balance.Measure(context.Background(), k.p, plan, exec.Limits{}))
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", k.name, spec.Name, err)
 			}
@@ -44,7 +46,7 @@ func MRCStudy(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("optimize %s: %w", k.name, err)
 			}
-			after, err := balance.MeasureMRC(context.Background(), opt, spec, exec.Limits{})
+			after, err := balance.Primary(balance.Measure(context.Background(), opt, plan, exec.Limits{}))
 			if err != nil {
 				return nil, fmt.Errorf("%s (optimized) on %s: %w", k.name, spec.Name, err)
 			}

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,14 +30,16 @@ func TestSec21PairMatchesComponents(t *testing.T) {
 
 func TestSec21WriteIsTwiceRead(t *testing.T) {
 	spec := machine.Origin2000()
-	rw, err := balance.Measure(Sec21Write(200000), spec)
+	rws, err := balance.Measure(context.Background(), Sec21Write(200000), balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := balance.Measure(Sec21Read(200000), spec)
+	rw := rws[0]
+	rrs, err := balance.Measure(context.Background(), Sec21Read(200000), balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rr := rrs[0]
 	if ratio := rw.Time.Total / rr.Time.Total; math.Abs(ratio-2) > 0.1 {
 		t.Fatalf("write/read = %.2f, want ~2", ratio)
 	}
@@ -84,10 +87,11 @@ func TestStrideKernelReadWriteCounts(t *testing.T) {
 }
 
 func TestConvolutionBalanceShape(t *testing.T) {
-	r, err := balance.Measure(Convolution(200000), machine.Origin2000())
+	rs, err := balance.Measure(context.Background(), Convolution(200000), balance.Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	// 3 loads + 1 store per 5 flops: register balance 6.4 B/flop.
 	if math.Abs(r.ProgramBalance[0]-6.4) > 0.2 {
 		t.Fatalf("register balance = %.2f, want ~6.4", r.ProgramBalance[0])
@@ -103,10 +107,11 @@ func TestConvolutionBalanceShape(t *testing.T) {
 }
 
 func TestDmxpyMemoryBound(t *testing.T) {
-	r, err := balance.Measure(Dmxpy(400), machine.Origin2000())
+	rs, err := balance.Measure(context.Background(), Dmxpy(400), balance.Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	// The matrix is touched once per element with no reuse: memory
 	// balance stays several bytes per flop, far above the 0.8 supply.
 	if r.ProgramBalance[2] < 3 {
@@ -124,14 +129,16 @@ func TestMatmulBlockingCollapsesMemoryBalance(t *testing.T) {
 	spec := machine.Origin2000()
 	spec.Caches[0].Size = 4 << 10
 	spec.Caches[1].Size = 64 << 10
-	jki, err := balance.Measure(MatmulJKI(128), spec)
+	jkis, err := balance.Measure(context.Background(), MatmulJKI(128), balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := balance.Measure(MustMatmulBlocked(128, 16), spec)
+	jki := jkis[0]
+	blks, err := balance.Measure(context.Background(), MustMatmulBlocked(128, 16), balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	blk := blks[0]
 	// The paper's headline compiler result: -O3 blocking drops memory
 	// balance from 5.9 to 0.04 B/flop. At this scale we check the
 	// shape: a large multiple.
@@ -170,10 +177,11 @@ func TestMatmulBlockedEquivalentToJKI(t *testing.T) {
 
 func TestFFTRunsAndIsMemoryModerate(t *testing.T) {
 	p := MustFFT(1 << 12)
-	r, err := balance.Measure(p, machine.Origin2000())
+	rs, err := balance.Measure(context.Background(), p, balance.Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.Flops == 0 {
 		t.Fatal("no flops counted")
 	}
@@ -244,10 +252,11 @@ func TestSPRoutinesRunAndCombine(t *testing.T) {
 }
 
 func TestSPMemoryBound(t *testing.T) {
-	r, err := balance.Measure(FillArrays(SP(96)), machine.Origin2000())
+	rs, err := balance.Measure(context.Background(), FillArrays(SP(96)), balance.Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	// The paper: SP demands 4.9 B/flop of memory bandwidth against a
 	// 0.8 supply (ratio 6.1, CPU bound 16%).
 	if r.Ratios[2] < 2 {
@@ -267,10 +276,11 @@ func TestSweep3DRunsAndIsMemoryBound(t *testing.T) {
 	if len(res.Prints) != 1 {
 		t.Fatal("checksum missing")
 	}
-	r, err := balance.Measure(FillArrays(Sweep3D(96, 4)), machine.Origin2000())
+	rs, err := balance.Measure(context.Background(), FillArrays(Sweep3D(96, 4)), balance.Plan{Machines: []machine.Spec{machine.Origin2000()}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	if r.Ratios[2] < 1 {
 		t.Fatalf("sweep3d memory ratio = %.2f", r.Ratios[2])
 	}
@@ -313,18 +323,21 @@ func TestFig6TrafficDropsAcrossVariants(t *testing.T) {
 	// the paper's out-of-cache regime).
 	spec.Caches[0].Size = 2048
 	spec.Caches[1].Size = 16384
-	ra, err := balance.Measure(Fig6Original(n), spec)
+	ras, err := balance.Measure(context.Background(), Fig6Original(n), balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := balance.Measure(Fig6Fused(n), spec)
+	ra := ras[0]
+	rbs, err := balance.Measure(context.Background(), Fig6Fused(n), balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := balance.Measure(Fig6ShrunkPeeled(n), spec)
+	rb := rbs[0]
+	rcs, err := balance.Measure(context.Background(), Fig6ShrunkPeeled(n), balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := rcs[0]
 	if !(rb.MemoryBytes < ra.MemoryBytes) {
 		t.Fatalf("fusion did not cut traffic: %d -> %d", ra.MemoryBytes, rb.MemoryBytes)
 	}

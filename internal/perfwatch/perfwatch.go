@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/balance"
-	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/ir"
@@ -141,7 +140,7 @@ type KernelResult struct {
 	BoundBytes    int64   `json:"bound_bytes,omitempty"`
 	OptimalityGap float64 `json:"optimality_gap,omitempty"`
 	// ProfileMeasureNS is the wall time of one attributed measurement
-	// (balance.MeasureProfiled, which also runs the bounds analysis) of
+	// (a balance.Plan with Profile and full bounds) of
 	// the optimized program, and ProfileOverheadRatio its ratio to the
 	// median plain measurement — the recorded price of turning the
 	// profiler on. Computed outside the timed loops, so the compared
@@ -150,7 +149,7 @@ type KernelResult struct {
 	ProfileMeasureNS     int64   `json:"profile_measure_ns,omitempty"`
 	ProfileOverheadRatio float64 `json:"profile_overhead_ratio,omitempty"`
 	// MRCMeasureNS is the wall time of one reuse-distance sweep
-	// (balance.MeasureMRC) of the optimized program, MRCOverheadRatio
+	// (a balance.Plan with MRC) of the optimized program, MRCOverheadRatio
 	// its ratio to the median plain measurement, and WSKneeBytes the
 	// capacity knee against the record's machine balance (-1 = the
 	// kernel's demand never meets it). The knee is a deterministic
@@ -243,9 +242,10 @@ func Collect(ctx context.Context, cfgName string, cfg core.Config, repeats int) 
 		kr.Analysis = runs[mi].analysis
 
 		var rep *balance.Report
+		plain := balance.Plan{Machines: []machine.Spec{spec}}
 		for i := 0; i < repeats; i++ {
 			begin := time.Now()
-			r, err := balance.MeasureCtx(ctx, runs[mi].prog, spec, exec.Limits{})
+			r, err := balance.Primary(balance.Measure(ctx, runs[mi].prog, plain, exec.Limits{}))
 			kr.MeasureSamplesNS = append(kr.MeasureSamplesNS, time.Since(begin).Nanoseconds())
 			if err != nil {
 				return nil, fmt.Errorf("perfwatch: measure %s: %w", cp.name, err)
@@ -253,26 +253,25 @@ func Collect(ctx context.Context, cfgName string, cfg core.Config, repeats int) 
 			rep = r
 		}
 		kr.MeasureNS = kr.MeasureSamplesNS[medianIndex(kr.MeasureSamplesNS)]
-		// Lower bound and optimality gap, computed after (never inside)
-		// the timed measurement loop so the wall-time families the
-		// regression check compares are unaffected.
 		kr.MemoryBytes = rep.MemoryBytes
-		if a, err := bounds.Analyze(ctx, runs[mi].prog, bounds.FastCapacity(spec), exec.Limits{}); err == nil {
-			kr.BoundBytes = a.Best.Bytes
-			kr.OptimalityGap = bounds.Gap(rep.MemoryBytes, a.Best)
-		}
-		// Profiled-measurement cost, also outside the timed loops: one
-		// attributed run, recorded next to the plain median it multiplies.
+		// Lower bound, optimality gap and the profiled-measurement cost
+		// come from one attributed run, after (never inside) the timed
+		// measurement loop so the wall-time families the regression
+		// check compares are unaffected.
 		pbegin := time.Now()
-		if _, err := balance.MeasureProfiled(ctx, runs[mi].prog, spec, exec.Limits{}); err == nil {
+		profiled := balance.Plan{Machines: plain.Machines, Bounds: balance.BoundsFull, Profile: true}
+		if prof, err := balance.Primary(balance.Measure(ctx, runs[mi].prog, profiled, exec.Limits{})); err == nil {
 			kr.ProfileMeasureNS = time.Since(pbegin).Nanoseconds()
 			if kr.MeasureNS > 0 {
 				kr.ProfileOverheadRatio = float64(kr.ProfileMeasureNS) / float64(kr.MeasureNS)
 			}
+			kr.BoundBytes = prof.Bound.Best.Bytes
+			kr.OptimalityGap = prof.OptimalityGap
 		}
 		// Reuse-distance sweep cost and the capacity knee, likewise
-		// outside the timed loops. MeasureMRC stamps its own wall time.
-		if m, err := balance.MeasureMRC(ctx, runs[mi].prog, spec, exec.Limits{}); err == nil && m.MRC != nil {
+		// outside the timed loops. The MRC result stamps its own wall time.
+		mrc := balance.Plan{Machines: plain.Machines, MRC: true}
+		if m, err := balance.Primary(balance.Measure(ctx, runs[mi].prog, mrc, exec.Limits{})); err == nil {
 			kr.MRCMeasureNS = m.MRC.MeasureNS
 			if kr.MeasureNS > 0 {
 				kr.MRCOverheadRatio = float64(kr.MRCMeasureNS) / float64(kr.MeasureNS)

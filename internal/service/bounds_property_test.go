@@ -55,10 +55,11 @@ func TestBoundSoundnessProperty(t *testing.T) {
 			}
 			for _, spec := range machines {
 				for variant, prog := range progs {
-					rep, err := balance.MeasureCtx(ctx, prog, spec, exec.Limits{})
+					reps, err := balance.Measure(ctx, prog, balance.Plan{Machines: []machine.Spec{spec}}, exec.Limits{})
 					if err != nil {
 						t.Fatalf("%s/%s: measure: %v", spec.Name, variant, err)
 					}
+					rep := reps[0]
 					for _, nopebble := range []bool{false, true} {
 						label := fmt.Sprintf("%s/%s/nopebble=%v", spec.Name, variant, nopebble)
 						a, err := bounds.AnalyzeOpts(ctx, prog, bounds.FastCapacity(spec), bounds.Opts{NoPebble: nopebble})

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -48,17 +47,20 @@ type ProgramRequest struct {
 	Trace bool `json:"trace,omitempty"`
 	// Profile, when true, attributes the measured traffic per array and
 	// cache level (the "profile" response block; optimize additionally
-	// returns "pass_deltas"). Profiling roughly doubles the measurement
-	// cost, so the overload ladder sheds it first — a degraded response
-	// reports the shed in "degraded" and omits the block.
+	// returns "pass_deltas", one extra execution per committed pass).
+	// The attribution rides on the measurement's own execution, at
+	// about 1.2–1.6× its cost; the overload ladder sheds it first — a
+	// degraded response reports the shed in "degraded" and omits the
+	// block.
 	Profile bool `json:"profile,omitempty"`
-	// MRC, when true, additionally runs the one-pass reuse-distance
+	// MRC, when true, additionally records the one-pass reuse-distance
 	// sweep: exact LRU miss-ratio curves for every cache level, the
 	// capacity knee against every registered machine's balance, and the
 	// phase timeline of the access stream (the "mrc" response block;
-	// optimize returns "mrc_before"/"mrc_after"). Like profiling it
-	// costs roughly one extra measurement, so the overload ladder sheds
-	// it at the same rung.
+	// optimize returns "mrc_before"/"mrc_after"). It too rides on the
+	// measurement's own execution; its per-access bookkeeping makes that
+	// execution about 2–6× slower, so the ladder sheds it with
+	// profiling.
 	MRC bool `json:"mrc,omitempty"`
 }
 
@@ -68,8 +70,10 @@ type AnalyzeRequest struct {
 	// Machines fans the analysis out across several machine models in
 	// one request — "same kernel, which machine is it balanced for" —
 	// returning one balance+bounds entry per machine in the response's
-	// "machines" array. Mutually exclusive with Machine; Scale applies
-	// to every listed machine. Belady runs only on the first machine.
+	// "machines" array. One execution feeds every machine's simulated
+	// hierarchy. Mutually exclusive with Machine; Scale applies to every
+	// listed machine. Profile, MRC and Belady observe only the first
+	// machine.
 	Machines []string `json:"machines,omitempty"`
 	// Belady additionally replays the last-level access trace under
 	// Belady's optimal replacement vs LRU (Section 4.1's comparison).
@@ -168,9 +172,9 @@ type AnalyzeResponse struct {
 	Balance  *BalanceSummary   `json:"balance"`
 	Belady   *BeladyComparison `json:"belady,omitempty"`
 	// Bounds is the analyzed program's data-movement lower bound and
-	// the measurement's optimality gap (internal/bounds); absent when
-	// the service degraded past program execution or the footprint run
-	// failed. Under rung-1 degradation the block is present but its
+	// the measurement's optimality gap (internal/bounds); absent under
+	// structural-only degradation or when the footprint census refused
+	// the program. Under rung-1 degradation the block is present but its
 	// pebbling half is skipped (PebblingSkipped).
 	Bounds *BoundsSummary `json:"bounds,omitempty"`
 	// Profile is the per-array traffic attribution of the primary
@@ -230,7 +234,7 @@ type OptimizeResponse struct {
 	// the after-measurement's optimality gap — how close the pipeline
 	// landed to the floor any schedule must pay. Absent when
 	// measurement was skipped (structural-only degradation) or the
-	// footprint run failed.
+	// footprint census refused the program.
 	Bounds *BoundsSummary `json:"bounds,omitempty"`
 	// Profile is the per-array traffic attribution of the AFTER
 	// measurement and PassDeltas the per-pass, per-array traffic diff
@@ -389,45 +393,42 @@ func resolveMachine(name string, scale int) (machine.Spec, error) {
 }
 
 // maxMachineFanout caps the "machines" list of one analyze request:
-// each entry costs a full measurement, so the cap bounds a single
-// request's work the same way MaxSteps bounds one program run.
+// each entry adds a simulated hierarchy to the request's one execution,
+// so the cap bounds a single request's work the same way MaxSteps
+// bounds one program run.
 const maxMachineFanout = 16
 
 // resolveMachines resolves an analyze request's machine target(s): the
-// singular Machine field, or the Machines fan-out list. It returns the
-// specs in request order plus the canonical machine key the result is
-// cached under (names joined with commas; aliases and duplicates
-// canonicalize to the same key).
-func resolveMachines(req *AnalyzeRequest) ([]machine.Spec, string, error) {
+// singular Machine field, or the Machines fan-out list, in request
+// order with aliases and duplicates canonicalized away.
+func resolveMachines(req *AnalyzeRequest) ([]machine.Spec, error) {
 	if len(req.Machines) == 0 {
 		spec, err := resolveMachine(req.Machine, req.Scale)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		return []machine.Spec{spec}, spec.Name, nil
+		return []machine.Spec{spec}, nil
 	}
 	if req.Machine != "" {
-		return nil, "", badRequest("set at most one of \"machine\" and \"machines\"")
+		return nil, badRequest("set at most one of \"machine\" and \"machines\"")
 	}
 	if len(req.Machines) > maxMachineFanout {
-		return nil, "", badRequest("\"machines\" lists %d machines (max %d)", len(req.Machines), maxMachineFanout)
+		return nil, badRequest("\"machines\" lists %d machines (max %d)", len(req.Machines), maxMachineFanout)
 	}
 	var specs []machine.Spec
-	var names []string
 	seen := map[string]bool{}
 	for _, name := range req.Machines {
 		spec, err := resolveMachine(name, req.Scale)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		if seen[spec.Name] {
 			continue
 		}
 		seen[spec.Name] = true
 		specs = append(specs, spec)
-		names = append(names, spec.Name)
 	}
-	return specs, strings.Join(names, ","), nil
+	return specs, nil
 }
 
 func summarize(rep *balance.Report) *BalanceSummary {
@@ -476,26 +477,21 @@ func summarize(rep *balance.Report) *BalanceSummary {
 type analyzeKey struct {
 	Endpoint string
 	Source   string
-	Machine  string
-	Belady   bool
-	// Bounds is the bounds mode actually computed (see bounds.go):
-	// degraded-bounds responses live at their own address, so they are
-	// never served to full-service requests.
-	Bounds string
-	// Profile is the profile flag actually honored: a profile-shed
-	// response lives at the unprofiled address.
-	Profile bool
-	// MRC is the reuse-distance flag actually honored (see Profile).
-	MRC      bool
+	// Plan is the measurement actually run — machines, bounds mode and
+	// observers after the degradation ladder's shedding — so a
+	// weakened response lives at its own address and is never served
+	// to a full-service request.
+	Plan balance.Plan
+	// Fanout separates {"machines": [X]} from {"machine": X}: the two
+	// run the same plan but answer in different shapes.
+	Fanout   bool
 	MaxSteps int64
 }
 
-// analyzeCacheKey is the content address of an analyze result for the
-// given effective options.
-func (s *Server) analyzeCacheKey(sourceID, machineName string, belady bool, boundsMode string, profile, mrc bool) (string, error) {
+// analyzeCacheKey is the content address of an analyze result.
+func (s *Server) analyzeCacheKey(sourceID string, plan balance.Plan, fanout bool) (string, error) {
 	return cache.Key(analyzeKey{
-		Endpoint: "analyze", Source: sourceID, Machine: machineName,
-		Belady: belady, Bounds: boundsMode, Profile: profile, MRC: mrc, MaxSteps: s.cfg.MaxSteps,
+		Endpoint: "analyze", Source: sourceID, Plan: plan, Fanout: fanout, MaxSteps: s.cfg.MaxSteps,
 	})
 }
 
@@ -519,14 +515,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	specs, machineKey, err := resolveMachines(&req)
+	specs, err := resolveMachines(&req)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.stageSeconds.With("parse").Observe(time.Since(begin).Seconds())
 
-	key, err := s.analyzeCacheKey(sourceID, machineKey, req.Belady, boundsFull, req.Profile, req.MRC)
+	plan := balance.Plan{Machines: specs, Bounds: balance.BoundsFull,
+		Profile: req.Profile, MRC: req.MRC, Belady: req.Belady}
+	key, err := s.analyzeCacheKey(sourceID, plan, len(req.Machines) > 0)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -549,7 +547,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Coalesce identical concurrent misses onto one pipeline run; the
 	// leader passes admission control and may be degraded or shed.
 	v, shared, err := s.flight.do(ctx, key, func() (any, error) {
-		return s.runAnalyze(ctx, &req, p, sourceID, specs, machineKey)
+		return s.runAnalyze(ctx, &req, p, sourceID, plan, key)
 	})
 	if err != nil {
 		s.failOverload(w, err)
@@ -579,64 +577,54 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // runAnalyze is the leader's pipeline body for one analyze miss:
-// admission, degradation, worker acquisition, measurement (one per
-// target machine). The returned response is trace-free (the handler
-// attaches trees). machineKey is the canonical machine component of
-// the cache address — specs[0].Name for single-machine requests, the
-// joined name list for fan-outs.
-func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program, sourceID string, specs []machine.Spec, machineKey string) (*AnalyzeResponse, error) {
+// admission, degradation, worker acquisition, and the one measurement
+// that feeds every machine and observer of the plan. The returned
+// response is trace-free (the handler attaches trees). key is the
+// address of the requested plan.
+func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program, sourceID string, plan balance.Plan, key string) (*AnalyzeResponse, error) {
 	level, reason, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
 	// Analyze's product is a measurement, so the ladder bites later
-	// than on optimize: rung 1 sheds traffic attribution and the
-	// pebbling half of the lower bound, rung 2 additionally sheds the
-	// Belady double-replay and the footprint run; rung 3 serves cached
-	// results alone.
-	effBelady := req.Belady && level.measureAllowed()
-	effProfile := req.Profile && level.profileAllowed()
-	effMRC := req.MRC && level.mrcAllowed()
-	bm := boundsModeFor(level)
-	var info *DegradeInfo
-	if effBelady != req.Belady || effProfile != req.Profile || effMRC != req.MRC || bm != boundsFull {
-		info = level.info(reason)
+	// than on optimize: rung 1 sheds traffic attribution, the
+	// reuse-distance sweep and the pebbling half of the lower bound,
+	// rung 2 additionally sheds the Belady replay and the bound; rung 3
+	// serves cached results alone.
+	fanout := len(req.Machines) > 0
+	eff := level.shed(plan)
+	effKey, err := s.analyzeCacheKey(sourceID, eff, fanout)
+	if err != nil {
+		return nil, err
 	}
-	if level >= degradeCacheOnly {
-		if effBelady != req.Belady || effProfile != req.Profile || effMRC != req.MRC {
-			// A Belady-, profile- and mrc-free full-service result is
-			// still an acceptable degraded answer if one is already cached.
-			if ek, err := s.analyzeCacheKey(sourceID, machineKey, false, boundsFull, false, false); err == nil {
+	var info *DegradeInfo
+	if effKey != key {
+		info = level.info(reason)
+		// An acceptable answer may already be cached: the full-bounds
+		// variant of the effective plan (strictly better than this rung
+		// affords), or — below cache-only — the exact degraded variant
+		// under its own address.
+		full := eff
+		full.Bounds = balance.BoundsFull
+		probes := []balance.Plan{full}
+		if level < degradeCacheOnly {
+			probes = append(probes, eff)
+		}
+		for _, pl := range probes {
+			if ek, err := s.analyzeCacheKey(sourceID, pl, fanout); err == nil {
 				if v, ok := s.cacheGet(ctx, ek); ok {
 					cp := *v.(*AnalyzeResponse)
 					cp.Cached = true
-					cp.Degraded = level.info(reason)
+					cp.Degraded = info
 					return &cp, nil
 				}
 			}
 		}
+	}
+	if level >= degradeCacheOnly {
 		return nil, &shedError{
 			retryAfter: s.retryAfterEstimate(s.queueDepth.Value()),
 			reason:     "degraded to cache-only and result not cached: " + reason,
-		}
-	}
-	if info != nil {
-		// An acceptable answer may already be cached: the full-bounds
-		// variant of the effective request (strictly better than this
-		// rung affords), or the exact degraded variant under its own
-		// address. A degraded rung never has bm == full, so the probes
-		// are distinct.
-		for _, ebm := range []string{boundsFull, bm} {
-			ek, err := s.analyzeCacheKey(sourceID, machineKey, effBelady, ebm, effProfile, effMRC)
-			if err != nil {
-				continue
-			}
-			if v, ok := s.cacheGet(ctx, ek); ok {
-				cp := *v.(*AnalyzeResponse)
-				cp.Cached = true
-				cp.Degraded = info
-				return &cp, nil
-			}
 		}
 	}
 
@@ -647,74 +635,30 @@ func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Prog
 	defer release()
 
 	pbegin := time.Now()
-	primary := specs[0]
-	mbegin := time.Now()
-	var rep *balance.Report
-	if effProfile {
-		// MeasureProfiled runs the lower-bound analysis itself (the
-		// per-array floors need the footprint), so the bounds block is
-		// projected from its result rather than recomputed.
-		rep, err = balance.MeasureProfiled(ctx, p, primary, s.limits())
-	} else {
-		rep, err = balance.MeasureCtx(ctx, p, primary, s.limits())
-	}
-	s.stageSeconds.With("measure").Observe(time.Since(mbegin).Seconds())
+	reps, err := balance.Measure(ctx, p, eff, s.limits())
+	s.stageSeconds.With("measure").Observe(time.Since(pbegin).Seconds())
 	if err != nil {
 		return nil, err
 	}
-	resp := &AnalyzeResponse{Balance: summarize(rep)}
-
-	if effProfile {
-		resp.Bounds = boundsFromAnalysis(rep.Bound, rep.MemoryBytes)
-		resp.Profile = rep.Attribution.Summary()
-		s.observeProfile(req.Kernel, resp.Profile)
-	} else {
-		bbegin := time.Now()
-		resp.Bounds = s.boundsSummary(ctx, p, primary, rep.MemoryBytes, bm)
-		s.stageSeconds.With("bounds").Observe(time.Since(bbegin).Seconds())
+	rep := reps[0]
+	resp := &AnalyzeResponse{
+		Balance: summarize(rep),
+		Bounds:  s.boundsBlock(rep),
+		Profile: rep.Attribution.Summary(),
+		MRC:     rep.MRC,
+		Belady:  beladyComparison(rep.Belady),
 	}
-	s.observeGap(req.Kernel, primary.Name, resp.Bounds)
-
-	if effMRC {
-		mrcBegin := time.Now()
-		m, err := balance.MeasureMRC(ctx, p, primary, s.limits())
-		s.stageSeconds.With("mrc").Observe(time.Since(mrcBegin).Seconds())
-		if err != nil {
-			return nil, err
+	s.observeProfile(req.Kernel, resp.Profile)
+	s.observeMRC(req.Kernel, resp.MRC)
+	for i, r := range reps {
+		ma := &MachineAnalysis{Machine: r.Machine, Balance: resp.Balance, Bounds: resp.Bounds}
+		if i > 0 {
+			ma.Balance, ma.Bounds = summarize(r), s.boundsBlock(r)
 		}
-		resp.MRC = m.MRC
-		s.observeMRC(req.Kernel, resp.MRC)
-	}
-
-	if len(req.Machines) > 0 {
-		// Fan-out: one entry per machine, the first sharing the primary
-		// measurement above.
-		resp.Machines = append(resp.Machines, &MachineAnalysis{
-			Machine: primary.Name, Balance: resp.Balance, Bounds: resp.Bounds,
-		})
-		for _, spec := range specs[1:] {
-			mbegin := time.Now()
-			mrep, err := balance.MeasureCtx(ctx, p, spec, s.limits())
-			s.stageSeconds.With("measure").Observe(time.Since(mbegin).Seconds())
-			if err != nil {
-				return nil, err
-			}
-			mb := s.boundsSummary(ctx, p, spec, mrep.MemoryBytes, bm)
-			s.observeGap(req.Kernel, spec.Name, mb)
-			resp.Machines = append(resp.Machines, &MachineAnalysis{
-				Machine: spec.Name, Balance: summarize(mrep), Bounds: mb,
-			})
+		s.observeGap(req.Kernel, r.Machine, ma.Bounds)
+		if fanout {
+			resp.Machines = append(resp.Machines, ma)
 		}
-	}
-
-	if effBelady {
-		rbegin := time.Now()
-		cmp, err := s.beladyCompare(ctx, p, primary)
-		s.stageSeconds.With("replay").Observe(time.Since(rbegin).Seconds())
-		if err != nil {
-			return nil, err
-		}
-		resp.Belady = cmp
 	}
 	if level == degradeNone {
 		// Only full-service runs feed the cost estimate: degraded runs
@@ -723,12 +667,10 @@ func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Prog
 	}
 
 	// Cache the trace-free, degradation-free response under the key of
-	// what was actually computed: a Belady-free, profile-free, mrc-free
-	// or bounds-degraded run is exactly that variant's full answer, so
-	// it must never be stored under the requested address.
-	if key, err := s.analyzeCacheKey(sourceID, machineKey, effBelady, bm, effProfile, effMRC); err == nil {
-		s.cachePut(ctx, key, resp)
-	}
+	// what was actually computed: a shed plan's run is exactly that
+	// plan's full answer, so it must never be stored under the
+	// requested address.
+	s.cachePut(ctx, effKey, resp)
 	if info != nil {
 		cp := *resp
 		cp.Degraded = info
@@ -737,32 +679,10 @@ func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Prog
 	return resp, nil
 }
 
-// beladyCompare records the program's access stream at the machine's
-// last cache level and replays it under LRU and Belady's optimal
-// replacement.
-func (s *Server) beladyCompare(ctx context.Context, p *ir.Program, spec machine.Spec) (*BeladyComparison, error) {
-	cfg := spec.Caches[len(spec.Caches)-1]
-	cfg.Policy = sim.WriteBack // replay requires write-back, write-allocate
-	cfg.NoWriteAllocate = false
-	rec, err := sim.NewRecorder(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := exec.Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cp.RunCtx(ctx, rec, s.limits()); err != nil {
-		return nil, err
-	}
-	t := rec.Trace()
-	lru, err := sim.ReplayLRUCtx(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := sim.ReplayBeladyCtx(ctx, t)
-	if err != nil {
-		return nil, err
+// beladyComparison projects a Belady replay onto the response block.
+func beladyComparison(b *balance.Belady) *BeladyComparison {
+	if b == nil {
+		return nil
 	}
 	stats := func(st sim.Stats) ReplayStats {
 		rs := ReplayStats{Misses: st.Misses(), Writebacks: st.Writebacks}
@@ -772,42 +692,36 @@ func (s *Server) beladyCompare(ctx context.Context, p *ir.Program, spec machine.
 		return rs
 	}
 	cmp := &BeladyComparison{
-		Level:    cfg.Name,
-		Accesses: t.Len(),
-		LRU:      stats(lru),
-		Belady:   stats(opt),
+		Level:    b.Level,
+		Accesses: b.Accesses,
+		LRU:      stats(b.LRU),
+		Belady:   stats(b.OPT),
 	}
-	if lru.Misses() > 0 {
-		cmp.MissReduction = 1 - float64(opt.Misses())/float64(lru.Misses())
+	if b.LRU.Misses() > 0 {
+		cmp.MissReduction = 1 - float64(b.OPT.Misses())/float64(b.LRU.Misses())
 	}
-	return cmp, nil
+	return cmp
 }
 
 // optimizeKey is the content address of an optimize result.
 type optimizeKey struct {
 	Endpoint string
 	Source   string
-	Machine  string
+	// Plan is the optimized program's measurement actually run (see
+	// analyzeKey); the original's differs only in carrying no bound.
+	Plan     balance.Plan
 	Passes   transform.Options
 	Pipeline string
 	Verify   string
-	// Bounds is the bounds mode actually computed (see analyzeKey).
-	Bounds string
-	// Profile is the profile flag actually honored (see analyzeKey).
-	Profile bool
-	// MRC is the reuse-distance flag actually honored (see analyzeKey).
-	MRC      bool
 	Tol      float64
 	MaxSteps int64
 }
 
-// optimizeCacheKey is the content address of an optimize result for
-// the given effective options.
-func (s *Server) optimizeCacheKey(sourceID, machineName string, opts transform.Options, pipeline string, mode verify.Mode, tol float64, boundsMode string, profile, mrc bool) (string, error) {
+// optimizeCacheKey is the content address of an optimize result.
+func (s *Server) optimizeCacheKey(sourceID string, plan balance.Plan, opts transform.Options, pipeline string, mode verify.Mode, tol float64) (string, error) {
 	return cache.Key(optimizeKey{
-		Endpoint: "optimize", Source: sourceID, Machine: machineName,
-		Passes: opts, Pipeline: pipeline, Verify: mode.String(), Bounds: boundsMode,
-		Profile: profile, MRC: mrc, Tol: tol, MaxSteps: s.cfg.MaxSteps,
+		Endpoint: "optimize", Source: sourceID, Plan: plan,
+		Passes: opts, Pipeline: pipeline, Verify: mode.String(), Tol: tol, MaxSteps: s.cfg.MaxSteps,
 	})
 }
 
@@ -862,7 +776,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stageSeconds.With("parse").Observe(time.Since(begin).Seconds())
 
-	key, err := s.optimizeCacheKey(sourceID, spec.Name, opts, req.Pipeline, mode, req.Tol, boundsFull, req.Profile, req.MRC)
+	plan := balance.Plan{Machines: []machine.Spec{spec}, Bounds: balance.BoundsFull,
+		Profile: req.Profile, MRC: req.MRC}
+	key, err := s.optimizeCacheKey(sourceID, plan, opts, req.Pipeline, mode, req.Tol)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -886,7 +802,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// identical in-flight requests cost one optimization); the leader
 	// passes admission control and may be degraded or shed.
 	v, shared, err := s.flight.do(ctx, key, func() (any, error) {
-		return s.runOptimize(ctx, &req, p, sourceID, spec, opts, mode)
+		return s.runOptimize(ctx, &req, p, sourceID, plan, opts, mode, key)
 	})
 	if err != nil {
 		s.failOverload(w, err)
@@ -918,42 +834,43 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // runOptimize is the leader's pipeline body for one optimize miss:
 // admission, degradation (verification clamp, measurement skip),
 // worker acquisition, transform, measurement. The returned response is
-// trace-free (the handler attaches trees).
-func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Program, sourceID string, spec machine.Spec, opts transform.Options, mode verify.Mode) (*OptimizeResponse, error) {
+// trace-free (the handler attaches trees). key is the address of the
+// requested plan and verify mode.
+func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Program, sourceID string, plan balance.Plan, opts transform.Options, mode verify.Mode, key string) (*OptimizeResponse, error) {
 	level, reason, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
 	effMode := level.clampVerify(mode)
 	measure := level.measureAllowed()
-	effProfile := req.Profile && level.profileAllowed()
-	effMRC := req.MRC && level.mrcAllowed()
-	bm := boundsModeFor(level)
-	var info *DegradeInfo
-	if effMode != mode || !measure || effProfile != req.Profile || effMRC != req.MRC || bm != boundsFull {
-		info = level.info(reason)
+	eff := level.shed(plan)
+	effKey, err := s.optimizeCacheKey(sourceID, eff, opts, req.Pipeline, effMode, req.Tol)
+	if err != nil {
+		return nil, err
 	}
-	if info != nil {
+	var info *DegradeInfo
+	if effKey != key || !measure {
+		info = level.info(reason)
 		// An acceptable answer may already be cached: the full-bounds
 		// variant at the clamped verify mode (strictly better than this
 		// rung affords), or the exact degraded variant under its own
-		// address. bm "none" marks a measurement-free run, which is
-		// never cached, so it has no address worth probing — for
-		// cache-only, a cached measured result at the clamped mode is
-		// the only acceptable answer.
-		for _, ebm := range []string{boundsFull, bm} {
-			if ebm == boundsNone {
-				continue
-			}
-			ek, kerr := s.optimizeCacheKey(sourceID, spec.Name, opts, req.Pipeline, effMode, req.Tol, ebm, effProfile, effMRC)
-			if kerr != nil {
-				continue
-			}
-			if v, ok := s.cacheGet(ctx, ek); ok {
-				cp := *v.(*OptimizeResponse)
-				cp.Cached = true
-				cp.Degraded = info
-				return &cp, nil
+		// address. A measurement-free run is never cached, so it has no
+		// address worth probing — for it, a cached measured result at
+		// the clamped mode is the only acceptable answer.
+		full := eff
+		full.Bounds = balance.BoundsFull
+		probes := []balance.Plan{full}
+		if measure {
+			probes = append(probes, eff)
+		}
+		for _, pl := range probes {
+			if ek, err := s.optimizeCacheKey(sourceID, pl, opts, req.Pipeline, effMode, req.Tol); err == nil {
+				if v, ok := s.cacheGet(ctx, ek); ok {
+					cp := *v.(*OptimizeResponse)
+					cp.Cached = true
+					cp.Degraded = info
+					return &cp, nil
+				}
 			}
 		}
 	}
@@ -974,7 +891,7 @@ func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Pr
 	obegin := time.Now()
 	q, outcome, err := transform.OptimizeVerifiedCtx(ctx, p, transform.Config{
 		Options: opts, Pipeline: req.Pipeline, Verify: effMode, Tol: req.Tol, ExecLimits: s.limits(),
-		SnapshotPasses: effProfile && measure,
+		SnapshotPasses: eff.Profile,
 	})
 	s.stageSeconds.With("optimize").Observe(time.Since(obegin).Seconds())
 	s.recordOutcome(outcome)
@@ -1001,67 +918,8 @@ func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Pr
 	}
 
 	if measure {
-		mbegin := time.Now()
-		var before, after *balance.Report
-		if effProfile {
-			before, err = balance.MeasureProfiled(ctx, p, spec, s.limits())
-		} else {
-			before, err = balance.MeasureCtx(ctx, p, spec, s.limits())
-		}
-		if err != nil {
+		if err := s.measureOptimized(ctx, resp, req.Kernel, p, q, eff, outcome.Snapshots); err != nil {
 			return nil, err
-		}
-		if effProfile {
-			after, err = balance.MeasureProfiled(ctx, q, spec, s.limits())
-		} else {
-			after, err = balance.MeasureCtx(ctx, q, spec, s.limits())
-		}
-		s.stageSeconds.With("measure").Observe(time.Since(mbegin).Seconds())
-		if err != nil {
-			return nil, err
-		}
-		resp.Before = summarize(before)
-		resp.After = summarize(after)
-		resp.Speedup = balance.Speedup(before, after)
-		if effProfile {
-			// The profiled measurement already carries the lower bound
-			// (see runAnalyze); attribute the pipeline's savings pass by
-			// pass from the committed snapshots.
-			resp.Bounds = boundsFromAnalysis(after.Bound, after.MemoryBytes)
-			resp.Profile = after.Attribution.Summary()
-			s.observeProfile(req.Kernel, resp.Profile)
-			if len(outcome.Snapshots) > 0 {
-				snaps := make([]balance.ProgramSnapshot, len(outcome.Snapshots))
-				for i, sn := range outcome.Snapshots {
-					snaps[i] = balance.ProgramSnapshot{Pass: sn.Pass, Program: sn.Program}
-				}
-				deltas, derr := balance.PassDeltas(ctx, p, snaps, spec, s.limits())
-				if derr != nil {
-					return nil, derr
-				}
-				resp.PassDeltas = deltas
-			}
-		} else {
-			bbegin := time.Now()
-			resp.Bounds = s.boundsSummary(ctx, q, spec, after.MemoryBytes, bm)
-			s.stageSeconds.With("bounds").Observe(time.Since(bbegin).Seconds())
-		}
-		s.observeGap(req.Kernel, spec.Name, resp.Bounds)
-
-		if effMRC {
-			mrcBegin := time.Now()
-			mb, err := balance.MeasureMRC(ctx, p, spec, s.limits())
-			if err != nil {
-				return nil, err
-			}
-			ma, err := balance.MeasureMRC(ctx, q, spec, s.limits())
-			s.stageSeconds.With("mrc").Observe(time.Since(mrcBegin).Seconds())
-			if err != nil {
-				return nil, err
-			}
-			resp.MRCBefore = mb.MRC
-			resp.MRCAfter = ma.MRC
-			s.observeMRC(req.Kernel, resp.MRCAfter)
 		}
 	}
 	if level == degradeNone {
@@ -1071,13 +929,11 @@ func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Pr
 
 	// Cache the trace-free, degradation-free response under the key of
 	// what was actually computed: a verification-clamped run with its
-	// effective bounds mode is exactly that degraded request's full
-	// answer. A structural-only run skipped measurement, so it is
-	// incomplete for any key and is not cached.
+	// shed plan is exactly that degraded request's full answer. A
+	// structural-only run skipped measurement, so it is incomplete for
+	// any key and is not cached.
 	if measure {
-		if ek, err := s.optimizeCacheKey(sourceID, spec.Name, opts, req.Pipeline, effMode, req.Tol, bm, effProfile, effMRC); err == nil {
-			s.cachePut(ctx, ek, resp)
-		}
+		s.cachePut(ctx, effKey, resp)
 	}
 	if info != nil {
 		cp := *resp
@@ -1085,6 +941,45 @@ func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Pr
 		return &cp, nil
 	}
 	return resp, nil
+}
+
+// measureOptimized fills the measured half of an optimize response:
+// the original under plan without its bound (the response reports the
+// optimized program's), the optimized program under plan, and — for a
+// profiled plan — the per-pass deltas of the committed snapshots.
+func (s *Server) measureOptimized(ctx context.Context, resp *OptimizeResponse, kernel string, p, q *ir.Program, plan balance.Plan, snapshots []transform.PassSnapshot) error {
+	mbegin := time.Now()
+	orig := plan
+	orig.Bounds = balance.BoundsNone
+	before, err := balance.Measure(ctx, p, orig, s.limits())
+	if err != nil {
+		return err
+	}
+	after, err := balance.Measure(ctx, q, plan, s.limits())
+	s.stageSeconds.With("measure").Observe(time.Since(mbegin).Seconds())
+	if err != nil {
+		return err
+	}
+	b, a := before[0], after[0]
+	resp.Before = summarize(b)
+	resp.After = summarize(a)
+	resp.Speedup = balance.Speedup(b, a)
+	resp.Bounds = s.boundsBlock(a)
+	s.observeGap(kernel, a.Machine, resp.Bounds)
+	resp.Profile = a.Attribution.Summary()
+	s.observeProfile(kernel, resp.Profile)
+	resp.MRCBefore, resp.MRCAfter = b.MRC, a.MRC
+	s.observeMRC(kernel, resp.MRCAfter)
+	if plan.Profile && len(snapshots) > 0 {
+		snaps := make([]balance.ProgramSnapshot, len(snapshots))
+		for i, sn := range snapshots {
+			snaps[i] = balance.ProgramSnapshot{Pass: sn.Pass, Program: sn.Program}
+		}
+		if resp.PassDeltas, err = balance.PassDeltas(ctx, b, snaps, plan.Machines[0], s.limits()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *Server) handleKernels(w http.ResponseWriter, _ *http.Request) {

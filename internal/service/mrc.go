@@ -7,20 +7,15 @@ import (
 )
 
 // Reuse-distance requests: the "mrc": true flag on analyze and
-// optimize asks for the one-pass Mattson sweep (balance.MeasureMRC) —
-// miss-ratio curves per cache level, the capacity knee against every
-// registered machine's balance, and the phase timeline of the access
-// stream. Like profiling, the sweep re-runs the program on a
-// site-tagged clone (roughly one extra measurement plus the per-access
-// order-statistic bookkeeping), so the degradation ladder sheds it at
-// the same rung. The effective flag is part of the cache address: an
-// mrc-shed response is never served to a full-service mrc request, and
-// vice versa.
-
-// mrcAllowed reports whether a degradation rung affords the
-// reuse-distance sweep. Shed from rung 1 (degradeNoDiff) up, alongside
-// traffic attribution and differential verification.
-func (l degradeLevel) mrcAllowed() bool { return l < degradeNoDiff }
+// optimize asks for the one-pass Mattson sweep (a balance.Plan with MRC
+// set) — miss-ratio curves per cache level, the capacity knee against
+// every registered machine's balance, and the phase timeline of the
+// access stream. The sweep rides on the measurement's own execution,
+// recording on the primary machine's hierarchy; its per-access
+// order-statistic bookkeeping makes that execution about 2–6× slower,
+// so the degradation ladder sheds it with profiling. The effective
+// plan is the cache address: an mrc-shed response is never served to
+// a full-service mrc request, and vice versa.
 
 // observeMRC feeds one reuse-distance result into telemetry and the
 // dashboard: the per-kernel bwserved_ws_knee_bytes gauges (only

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/balance"
 	"repro/internal/faults"
 	"repro/internal/verify"
 )
@@ -19,11 +20,17 @@ import (
 // degradation ladder. The ladder's rungs, from healthy to desperate:
 //
 //	0 full            the request runs exactly as asked
-//	1 no-differential differential verification clamped to structural
-//	2 structural-only every program execution is skipped: verification
-//	                  drops to the IR-validate floor, optimize omits
-//	                  before/after measurement, analyze omits Belady
+//	1 no-differential differential verification clamped to structural;
+//	                  profiling, the MRC sweep and the pebbling bound shed
+//	2 structural-only every execution beyond analyze's one measurement
+//	                  is skipped: verification drops to the IR-validate
+//	                  floor, optimize omits before/after measurement,
+//	                  analyze omits Belady and the lower bound
 //	3 cache-only      only cached results are served; misses are shed
+//
+// The measurement half of a rung is degradeLevel.shed, which maps the
+// requested balance.Plan to the one the rung affords; the effective
+// plan is part of the cache address.
 //
 // A rung is chosen per request at admission time by comparing the
 // remaining deadline budget against the estimated cost of the full
@@ -83,6 +90,25 @@ func (l degradeLevel) clampVerify(m verify.Mode) verify.Mode {
 // measureAllowed reports whether the rung permits program executions
 // (balance measurement, Belady replay).
 func (l degradeLevel) measureAllowed() bool { return l < degradeStructural }
+
+// shed returns the part of a measurement plan the rung affords. Rung 1
+// sheds traffic attribution, the reuse-distance sweep and the pebbling
+// half of the lower bound; rung 2 additionally sheds the Belady replay
+// and the bound (its footprint census rides on every execution).
+// Machines are never shed.
+func (l degradeLevel) shed(p balance.Plan) balance.Plan {
+	if l >= degradeNoDiff {
+		p.Profile, p.MRC = false, false
+		if p.Bounds == balance.BoundsFull {
+			p.Bounds = balance.BoundsNoPebble
+		}
+	}
+	if !l.measureAllowed() {
+		p.Belady = false
+		p.Bounds = balance.BoundsNone
+	}
+	return p
+}
 
 // info builds the response marker for a non-full rung.
 func (l degradeLevel) info(reason string) *DegradeInfo {
